@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! exp_serve [--entries 10000] [--shards 16] [--conns 8] [--window 16]
-//!           [--ops 2000] [--batch-max 64] [--batch-wait-us 200]
+//!           [--ops 2000] [--batch-max 64]
 //!           [--json BENCH_serve.json | --no-json] [--quick]
 //! ```
 //!
@@ -19,7 +19,6 @@ use mc_bench::ServeBenchOpts;
 fn main() {
     let mut opts = ServeBenchOpts::default();
     let mut batched_max = 128usize;
-    let mut batched_wait_us = 200u64;
     let mut batched_max_explicit = false;
     let mut json: Option<PathBuf> = Some(PathBuf::from("BENCH_serve.json"));
 
@@ -49,9 +48,6 @@ fn main() {
                 batched_max = int(&mut i, "--batch-max");
                 batched_max_explicit = true;
             }
-            "--batch-wait-us" => {
-                batched_wait_us = int(&mut i, "--batch-wait-us") as u64;
-            }
             "--quick" => {
                 opts = ServeBenchOpts {
                     entries: 2_000,
@@ -60,8 +56,8 @@ fn main() {
                     window: 8,
                     ops_per_conn: 400,
                 };
-                // Keep the batched cap below the reduced fleet's in-flight
-                // total (4 x 8 = 32) so batches fill without lingering.
+                // Keep the batched cap at the reduced fleet's in-flight
+                // total (4 x 8 = 32) so a busy batcher can fill batches.
                 if !batched_max_explicit {
                     batched_max = 32;
                 }
@@ -75,7 +71,7 @@ fn main() {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(
                     "usage: exp_serve [--entries N] [--shards N] [--conns N] [--window N] \
-                     [--ops N] [--batch-max N] [--batch-wait-us N] \
+                     [--ops N] [--batch-max N] \
                      [--json PATH | --no-json] [--quick]"
                 );
                 std::process::exit(2);
@@ -84,5 +80,5 @@ fn main() {
         i += 1;
     }
 
-    mc_bench::run_serve_with(&opts, batched_max, batched_wait_us, json.as_deref());
+    mc_bench::run_serve_with(&opts, batched_max, json.as_deref());
 }

@@ -163,6 +163,30 @@ impl DenseLayer {
     /// # Errors
     /// Returns [`NnError::ShapeMismatch`] when `input.len() != input_dim`.
     pub fn forward(&self, input: &[f32]) -> Result<DenseForward> {
+        let pre = self.pre_activation(input)?;
+        let mut output = pre.clone();
+        self.activation.apply_slice(&mut output);
+        Ok(DenseForward {
+            input: input.to_vec(),
+            pre_activation: pre,
+            output,
+        })
+    }
+
+    /// Inference-only forward pass: the same output as
+    /// [`DenseLayer::forward`], with no copy of the input or of the
+    /// pre-activation kept for a backward pass.
+    ///
+    /// # Errors
+    /// Returns [`NnError::ShapeMismatch`] when `input.len() != input_dim`.
+    pub fn infer(&self, input: &[f32]) -> Result<Vec<f32>> {
+        let mut output = self.pre_activation(input)?;
+        self.activation.apply_slice(&mut output);
+        Ok(output)
+    }
+
+    /// `x * W + b` for one row vector.
+    fn pre_activation(&self, input: &[f32]) -> Result<Vec<f32>> {
         if input.len() != self.input_dim() {
             return Err(NnError::ShapeMismatch(format!(
                 "dense forward: input {} vs expected {}",
@@ -177,18 +201,7 @@ impl DenseLayer {
         for (p, b) in pre.iter_mut().zip(&self.bias) {
             *p += *b;
         }
-        let mut output = pre.clone();
-        self.activation.apply_slice(&mut output);
-        Ok(DenseForward {
-            input: input.to_vec(),
-            pre_activation: pre,
-            output,
-        })
-    }
-
-    /// Inference-only forward pass (no cache allocation beyond the output).
-    pub fn infer(&self, input: &[f32]) -> Result<Vec<f32>> {
-        Ok(self.forward(input)?.output)
+        Ok(pre)
     }
 
     /// Backward pass: given the forward cache and `d_output` (gradient of the

@@ -5,9 +5,9 @@
 //!       [--threshold 0.7] [--index flat-sq8|flat|ivf|ivf-sq8] [--seed 2024]
 //!       [--routing hash|centroid|scatter-gather] [--persist PATH]
 //!       [--fsync always|never|every-N] [--deadline-ms N] [--idle-timeout-ms N]
-//!       [--batch-max 64] [--batch-wait-us 200] [--queue-cap 1024]
-//!       [--max-conns 32] [--poller epoll|poll] [--memo-capacity N]
-//!       [--memo-bytes N] [--no-singleflight] [--metrics-out PATH]
+//!       [--batch-max 64] [--queue-cap 1024] [--max-conns 32]
+//!       [--poller epoll|poll] [--memo-capacity N] [--memo-bytes N]
+//!       [--no-singleflight] [--metrics-out PATH]
 //!       [--tenants name:token:quota,...] [--default-tenant NAME|none]
 //!       [--ttl-secs N] [--trace-sample N] [--trace-slow-ms N]
 //!       [--trace-log PATH] [--trace-dump-out PATH] [--smoke]
@@ -166,13 +166,6 @@ fn parse_args() -> Args {
                     .parse()
                     .expect("--batch-max: integer");
             }
-            "--batch-wait-us" => {
-                args.serve_config.max_wait = Duration::from_micros(
-                    value(&mut i, "--batch-wait-us")
-                        .parse()
-                        .expect("--batch-wait-us: integer"),
-                );
-            }
             "--queue-cap" => {
                 args.serve_config.queue_capacity = value(&mut i, "--queue-cap")
                     .parse()
@@ -261,7 +254,7 @@ fn parse_args() -> Args {
                     "usage: serve [--addr A] [--shards N] [--capacity N] [--threshold T] \
                      [--index KIND] [--seed N] [--routing MODE] [--persist PATH] \
                      [--fsync always|never|every-N] [--deadline-ms N] [--idle-timeout-ms N] \
-                     [--batch-max N] [--batch-wait-us N] [--queue-cap N] [--max-conns N] \
+                     [--batch-max N] [--queue-cap N] [--max-conns N] \
                      [--poller epoll|poll] [--memo-capacity N] [--memo-bytes N] \
                      [--no-singleflight] [--tenants name:token:quota,...] \
                      [--default-tenant NAME|none] [--ttl-secs N] \
@@ -379,12 +372,11 @@ fn main() {
     let (cache, restored) = build_cache(&args);
     let handle = start_server(cache, &args, restored);
     println!(
-        "mc-serve listening on {} ({} shards, {} index, batch ≤ {} / {:?} linger, queue {} cap, {} conns max)",
+        "mc-serve listening on {} ({} shards, {} index, batch ≤ {} formed while busy, queue {} cap, {} conns max)",
         handle.addr(),
         args.shards,
         args.index.name(),
         args.serve_config.max_batch,
-        args.serve_config.max_wait,
         args.serve_config.queue_capacity,
         args.serve_config.max_connections,
     );
@@ -396,12 +388,10 @@ fn main() {
 /// The localhost smoke test CI runs: known traffic, asserted hit/miss
 /// counts, graceful shutdown.
 fn smoke(args: &Args) {
-    // A fast smoke wants visible batching: tiny linger, default batch size.
     // Persistence gets a scratch path so the save/restore cycle is covered.
     let persist_dir = std::env::temp_dir().join(format!("mc_serve_smoke_{}", std::process::id()));
     std::fs::create_dir_all(&persist_dir).expect("smoke scratch dir");
     let mut serve_config = args.serve_config.clone();
-    serve_config.max_wait = Duration::from_micros(100);
     serve_config.persist_path = Some(persist_dir.join("cache.log"));
     let args = Args {
         addr: "127.0.0.1:0".to_string(),
@@ -644,7 +634,6 @@ fn smoke_busy_retry(args: &Args) {
     let mut serve_config = ServeConfig {
         queue_capacity: 1,
         max_batch: 1,
-        max_wait: Duration::from_micros(100),
         ..args.serve_config.clone()
     };
     serve_config.persist_path = None;

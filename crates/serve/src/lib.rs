@@ -12,7 +12,7 @@
 //!                     │ submit / Overloaded        ▲ dirty-mark + Waker
 //!                     ▼                            │ on ticket resolve
 //!        bounded admission queue ──▶ cross-batch singleflight attach
-//!                     │ pop_batch(max_batch, max_wait)
+//!                     │ pop_batch(max_batch): what queued while busy
 //!                     ▼
 //!            micro-batcher thread ──▶ root-pin GC sweep (periodic)
 //!        probe_batch ─▶ ordered commit ─▶ tickets ─▶ latency histogram
@@ -34,9 +34,10 @@
 //!   [`ServeConfig::max_connections`] a fresh socket gets a `Busy` frame
 //!   and is closed before a single payload byte is parsed.
 //! * **Micro-batcher** ([`pipeline`]) — an admission queue of bounded
-//!   capacity feeds a single batcher thread that collects up to
-//!   [`ServeConfig::max_batch`] requests (waiting at most
-//!   [`ServeConfig::max_wait`] after the first), then drives the whole batch
+//!   capacity feeds a single batcher thread that takes up to
+//!   [`ServeConfig::max_batch`] of the requests queued so far (it never
+//!   waits for more: requests that arrive while a batch runs form the next
+//!   one, so a lone request goes straight through), then drives the batch
 //!   through [`meancache::SemanticCache::probe_batch`] and commits outcomes
 //!   strictly in submission order — so batched responses are
 //!   decision-identical to sequential lookups. When the queue is full,

@@ -62,12 +62,10 @@ pub struct ServeTenant {
 pub struct ServeConfig {
     /// Maximum requests the micro-batcher groups into one pass. `1`
     /// disables batching (every request is its own batch) — the reference
-    /// configuration `exp_serve` compares against.
+    /// configuration `exp_serve` compares against. The batcher never waits
+    /// to fill a batch: it takes what queued up while the previous batch
+    /// ran, so batches form only under load.
     pub max_batch: usize,
-    /// How long an open batch lingers for stragglers after its first
-    /// request arrives. Bounded added latency: a lone request is delayed by
-    /// at most this much.
-    pub max_wait: Duration,
     /// Admission-queue capacity; pushes beyond it are shed with
     /// [`SubmitError::Overloaded`].
     pub queue_capacity: usize,
@@ -172,7 +170,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_wait: Duration::from_micros(200),
             queue_capacity: 1024,
             max_connections: 32,
             batch_delay: Duration::ZERO,
@@ -910,7 +907,7 @@ fn batcher_loop(
     let mut last_sweep = Instant::now();
     loop {
         batch.clear();
-        if !queue.pop_batch(config.max_batch, config.max_wait, &mut batch) {
+        if !queue.pop_batch(config.max_batch, &mut batch) {
             break; // closed and fully drained
         }
         // One clock read covers the whole batch's queue-wait accounting.

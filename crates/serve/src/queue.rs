@@ -1,10 +1,9 @@
 //! The bounded admission queue between connection handlers and the
 //! micro-batcher: reject-on-full (load shedding) on the producer side,
-//! batch-draining with a bounded linger on the consumer side.
+//! batch-draining without waiting on the consumer side.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,14 +102,16 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Blocks until at least one item is available (or the queue is closed),
-    /// then drains up to `max` items into `out` — lingering at most
-    /// `max_wait` after the first item in the hope of filling the batch.
+    /// then drains up to `max` items into `out` and returns at once. It
+    /// never waits for more items: a batch is whatever queued up while the
+    /// consumer was busy, so batches grow with load and a lone request on
+    /// an idle queue goes straight through.
+    ///
     /// Returns `false` only when the queue is closed *and* fully drained
     /// (`out` is left empty in that case); a close with items still queued
     /// keeps returning batches until empty, which is what makes shutdown
     /// drain in-flight work.
-    pub fn pop_batch(&self, max: usize, max_wait: Duration, out: &mut Vec<T>) -> bool {
-        let max = max.max(1);
+    pub fn pop_batch(&self, max: usize, out: &mut Vec<T>) -> bool {
         let mut inner = self.lock();
         while inner.items.is_empty() {
             if inner.closed {
@@ -121,42 +122,8 @@ impl<T> BoundedQueue<T> {
                 .wait(inner)
                 .expect("admission queue lock poisoned");
         }
-        while out.len() < max {
-            match inner.items.pop_front() {
-                Some(item) => out.push(item),
-                None => break,
-            }
-        }
-        if out.len() >= max || max_wait.is_zero() {
-            return true;
-        }
-        // Adaptive linger: the batch is open — wait (bounded) for stragglers
-        // so a trickle of traffic still forms batches, but a lone request
-        // never waits longer than `max_wait`.
-        let deadline = Instant::now() + max_wait;
-        loop {
-            if inner.closed {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, _timeout) = self
-                .not_empty
-                .wait_timeout(inner, deadline - now)
-                .expect("admission queue lock poisoned");
-            inner = guard;
-            while out.len() < max {
-                match inner.items.pop_front() {
-                    Some(item) => out.push(item),
-                    None => break,
-                }
-            }
-            if out.len() >= max {
-                break;
-            }
-        }
+        let take = max.max(1).min(inner.items.len());
+        out.extend(inner.items.drain(..take));
         true
     }
 
@@ -176,6 +143,8 @@ impl<T> BoundedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn push_fills_to_capacity_then_sheds() {
@@ -188,7 +157,7 @@ mod tests {
         assert_eq!(queue.len(), 3);
         // Draining makes room again.
         let mut out = Vec::new();
-        assert!(queue.pop_batch(2, Duration::ZERO, &mut out));
+        assert!(queue.pop_batch(2, &mut out));
         assert_eq!(out, vec![0, 1]);
         queue.push(3).unwrap();
         assert_eq!(queue.len(), 2);
@@ -201,30 +170,58 @@ mod tests {
             queue.push(i).unwrap();
         }
         let mut out = Vec::new();
-        assert!(queue.pop_batch(4, Duration::ZERO, &mut out));
+        assert!(queue.pop_batch(4, &mut out));
         assert_eq!(out, vec![0, 1, 2, 3]);
         out.clear();
-        assert!(queue.pop_batch(100, Duration::ZERO, &mut out));
+        assert!(queue.pop_batch(100, &mut out));
         assert_eq!(out, (4..10).collect::<Vec<_>>());
     }
 
     #[test]
-    fn linger_collects_stragglers_up_to_max_batch() {
-        let queue = std::sync::Arc::new(BoundedQueue::new(16));
-        queue.push(0).unwrap();
+    fn items_pushed_while_the_consumer_is_busy_come_out_as_one_batch() {
+        let queue = Arc::new(BoundedQueue::new(16));
+        let (busy_tx, busy_rx) = std::sync::mpsc::channel();
+        let (pushed_tx, pushed_rx) = std::sync::mpsc::channel();
         let producer = {
-            let queue = std::sync::Arc::clone(&queue);
+            let queue = Arc::clone(&queue);
             std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(5));
-                queue.push(1).unwrap();
-                queue.push(2).unwrap();
+                queue.push(0).unwrap();
+                // The consumer is now busy with item 0; everything pushed
+                // until it returns must wait for the next batch.
+                busy_rx.recv().unwrap();
+                for i in 1..4 {
+                    queue.push(i).unwrap();
+                }
+                pushed_tx.send(()).unwrap();
             })
         };
         let mut out = Vec::new();
-        assert!(queue.pop_batch(3, Duration::from_millis(500), &mut out));
+        assert!(queue.pop_batch(8, &mut out));
+        assert_eq!(out, vec![0]);
+        busy_tx.send(()).unwrap();
+        pushed_rx.recv().unwrap();
+        out.clear();
+        assert!(queue.pop_batch(8, &mut out));
+        assert_eq!(out, vec![1, 2, 3]);
         producer.join().unwrap();
-        // The batch filled (3 items) well before the 500ms linger expired.
-        assert_eq!(out, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn lone_item_on_an_idle_queue_returns_without_waiting() {
+        let queue = BoundedQueue::new(16);
+        queue.push(7).unwrap();
+        let mut out = Vec::new();
+        let started = Instant::now();
+        assert!(queue.pop_batch(64, &mut out));
+        assert_eq!(out, vec![7]);
+        assert!(queue.is_empty());
+        // No producer exists and the batch is far from full, so a linger
+        // would wait out its whole length here.
+        assert!(
+            started.elapsed() < Duration::from_millis(50),
+            "pop_batch waited {:?} on an idle queue",
+            started.elapsed()
+        );
     }
 
     #[test]
@@ -235,22 +232,22 @@ mod tests {
         queue.close();
         assert_eq!(queue.push('c'), Err(SubmitError::ShutDown));
         let mut out = Vec::new();
-        assert!(queue.pop_batch(1, Duration::ZERO, &mut out));
+        assert!(queue.pop_batch(1, &mut out));
         assert_eq!(out, vec!['a']);
         out.clear();
-        assert!(queue.pop_batch(1, Duration::from_millis(50), &mut out));
+        assert!(queue.pop_batch(1, &mut out));
         assert_eq!(out, vec!['b']);
         out.clear();
-        assert!(!queue.pop_batch(1, Duration::ZERO, &mut out));
+        assert!(!queue.pop_batch(1, &mut out));
         assert!(out.is_empty());
         assert!(queue.is_closed());
     }
 
     #[test]
     fn pop_batch_wakes_on_close_while_waiting() {
-        let queue = std::sync::Arc::new(BoundedQueue::<u8>::new(4));
+        let queue = Arc::new(BoundedQueue::<u8>::new(4));
         let closer = {
-            let queue = std::sync::Arc::clone(&queue);
+            let queue = Arc::clone(&queue);
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(5));
                 queue.close();
@@ -258,7 +255,7 @@ mod tests {
         };
         let mut out = Vec::new();
         // Blocks empty, then the close wakes it with `false`.
-        assert!(!queue.pop_batch(4, Duration::from_secs(5), &mut out));
+        assert!(!queue.pop_batch(4, &mut out));
         closer.join().unwrap();
     }
 }

@@ -48,8 +48,6 @@ fn spawn_serve(persist: &Path, extra_args: &[&str]) -> (Child, SocketAddr) {
             persist.to_str().expect("utf-8 persist path"),
             "--fsync",
             "always",
-            "--batch-wait-us",
-            "100",
         ])
         .args(extra_args)
         .stdout(Stdio::piped())

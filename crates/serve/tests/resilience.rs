@@ -46,17 +46,17 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A lookup that out-waits its deadline in the batch queue must come back
-/// as a retryable `DeadlineExceeded` failure frame — promptly (within 2×
-/// the deadline), and without killing the connection.
+/// A lookup that out-waits its deadline before the batcher runs it must
+/// come back as a retryable `DeadlineExceeded` failure frame — promptly
+/// (within 2× the deadline), and without killing the connection.
 #[test]
 fn expired_deadline_fails_retryably_within_twice_the_deadline() {
     let deadline = Duration::from_millis(150);
     let config = ServeConfig {
         request_deadline: deadline,
-        // The linger keeps a lone lookup queued past its deadline but
-        // still well inside the 2× reply budget.
-        max_wait: Duration::from_millis(200),
+        // The slow batcher holds a lone lookup past its deadline before
+        // executing it, but still well inside the 2× reply budget.
+        batch_delay: Duration::from_millis(200),
         ..ServeConfig::default()
     };
     let handle = Server::start(cache(2), &config, "127.0.0.1:0").unwrap();
@@ -130,7 +130,6 @@ fn retrying_client_survives_a_busy_storm() {
     let config = ServeConfig {
         queue_capacity: 1,
         max_batch: 1,
-        max_wait: Duration::from_micros(100),
         ..ServeConfig::default()
     };
     let handle = Server::start(cache(2), &config, "127.0.0.1:0").unwrap();

@@ -85,7 +85,8 @@ fn batched_responses_equal_sequential_lookups_in_submission_order() {
         .collect();
 
     // Pipeline under maximal batching pressure: batch up to the whole
-    // workload, generous linger so submissions pile into shared batches.
+    // workload, and a slow batcher so submissions pile up behind the first
+    // batch and share the next ones.
     let mut under_test = cache(4);
     for (q, r, ctx) in &inserts {
         under_test.insert(q, r, ctx).unwrap();
@@ -94,7 +95,7 @@ fn batched_responses_equal_sequential_lookups_in_submission_order() {
         under_test,
         &ServeConfig {
             max_batch: probes.len(),
-            max_wait: Duration::from_millis(20),
+            batch_delay: Duration::from_millis(20),
             ..ServeConfig::default()
         },
     )
@@ -140,7 +141,6 @@ fn bounded_queue_sheds_under_a_slow_consumer() {
         cache(2),
         &ServeConfig {
             max_batch: 1,
-            max_wait: Duration::ZERO,
             queue_capacity: 8,
             batch_delay: Duration::from_millis(30),
             ..ServeConfig::default()
@@ -181,7 +181,6 @@ fn graceful_shutdown_drains_in_flight_requests() {
             cache(2),
             &ServeConfig {
                 max_batch: 4,
-                max_wait: Duration::ZERO,
                 queue_capacity: 1024,
                 batch_delay: Duration::from_millis(2), // keep a backlog alive
                 ..ServeConfig::default()

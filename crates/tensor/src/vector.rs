@@ -12,11 +12,19 @@ use serde::{Deserialize, Serialize};
 
 use crate::{Result, TensorError};
 
+/// Lane count of the `f32` kernels: sixteen independent partial sums, i.e.
+/// four 4-wide SIMD accumulators on a baseline x86-64 target.
+const F32_LANES: usize = 16;
+
 /// Dot product of two equal-length slices.
 ///
-/// The loop is written with four independent accumulators so the compiler can
-/// keep multiple FMA chains in flight; this roughly doubles throughput on
-/// typical x86-64 targets compared to a single accumulator.
+/// The loop body is a fixed-width `chunks_exact` zip over [`F32_LANES`]
+/// independent partial sums. The fixed windows carry no bounds checks, and
+/// the separate partial sums give the compiler a summation order it may
+/// keep in SIMD registers, so the loop vectorizes. An indexed loop keeps a
+/// bounds check per element, and a single running sum fixes the order of
+/// the additions; either keeps the loop scalar. The result differs from a
+/// left-to-right sum by rounding only.
 ///
 /// # Panics
 /// Panics in debug builds if the slices differ in length; in release builds
@@ -26,28 +34,30 @@ use crate::{Result, TensorError};
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "dot: length mismatch");
     let n = a.len().min(b.len());
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    let chunks = n / 4;
-    for i in 0..chunks {
-        let j = i * 4;
-        s0 += a[j] * b[j];
-        s1 += a[j + 1] * b[j + 1];
-        s2 += a[j + 2] * b[j + 2];
-        s3 += a[j + 3] * b[j + 3];
+    let mut lanes = [0.0f32; F32_LANES];
+    let a_chunks = a[..n].chunks_exact(F32_LANES);
+    let b_chunks = b[..n].chunks_exact(F32_LANES);
+    let a_rem = a_chunks.remainder();
+    let b_rem = b_chunks.remainder();
+    for (x, y) in a_chunks.zip(b_chunks) {
+        for k in 0..F32_LANES {
+            lanes[k] += x[k] * y[k];
+        }
     }
     let mut tail = 0.0f32;
-    for j in (chunks * 4)..n {
-        tail += a[j] * b[j];
+    for (x, y) in a_rem.iter().zip(b_rem) {
+        tail += x * y;
     }
-    s0 + s1 + s2 + s3 + tail
+    lanes.iter().sum::<f32>() + tail
 }
 
 /// Widening dot product of two `i8` slices, accumulated in `i32`.
 ///
-/// The integer companion of [`dot`]: four independent `i32` accumulators so
-/// multiple multiply-add chains stay in flight, with each `i8 × i8` product
-/// widened before accumulation. Safe for any slice up to ~130k elements per
-/// accumulator lane (`i32::MAX / 127²`), far beyond embedding sizes.
+/// The integer companion of [`dot`]. Integer addition is associative, so a
+/// plain `zip` sum vectorizes as it stands: the compiler widens and
+/// multiplies whole SIMD registers of bytes. Each product is at most
+/// `128²` in magnitude, so the `i32` sum is exact for any slice up to
+/// ~130k elements (`i32::MAX / 128²`), far beyond embedding sizes.
 ///
 /// # Panics
 /// Panics in debug builds if the slices differ in length; in release builds
@@ -55,30 +65,20 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 #[inline]
 pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len(), "dot_i8: length mismatch");
-    let n = a.len().min(b.len());
-    let (mut s0, mut s1, mut s2, mut s3) = (0i32, 0i32, 0i32, 0i32);
-    let chunks = n / 4;
-    for i in 0..chunks {
-        let j = i * 4;
-        s0 += a[j] as i32 * b[j] as i32;
-        s1 += a[j + 1] as i32 * b[j + 1] as i32;
-        s2 += a[j + 2] as i32 * b[j + 2] as i32;
-        s3 += a[j + 3] as i32 * b[j + 3] as i32;
-    }
-    let mut tail = 0i32;
-    for j in (chunks * 4)..n {
-        tail += a[j] as i32 * b[j] as i32;
-    }
-    s0 + s1 + s2 + s3 + tail
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| i32::from(x) * i32::from(y))
+        .sum()
 }
 
 /// Widening dot product of two `u8` code slices, accumulated in `u32`.
 ///
 /// This is the integer core of the symmetric SQ8 × SQ8 similarity: callers
 /// apply the affine scale/zero-point correction once per row (see
-/// `mc_tensor::quant::QuantizedVec::dot_quantized`). Each `u32` accumulator
-/// lane holds ~66k products of `255 × 255` before overflow, so any realistic
-/// embedding dimensionality is safe.
+/// `mc_tensor::quant::QuantizedVec::dot_quantized`). Like [`dot_i8`] it is
+/// a plain `zip` sum, which vectorizes because integer addition is
+/// associative. The `u32` sum holds ~66k products of `255 × 255` before
+/// overflow, so any realistic embedding dimensionality is safe.
 ///
 /// # Panics
 /// Panics in debug builds if the slices differ in length; in release builds
@@ -86,21 +86,10 @@ pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
 #[inline]
 pub fn dot_u8(a: &[u8], b: &[u8]) -> u32 {
     debug_assert_eq!(a.len(), b.len(), "dot_u8: length mismatch");
-    let n = a.len().min(b.len());
-    let (mut s0, mut s1, mut s2, mut s3) = (0u32, 0u32, 0u32, 0u32);
-    let chunks = n / 4;
-    for i in 0..chunks {
-        let j = i * 4;
-        s0 += a[j] as u32 * b[j] as u32;
-        s1 += a[j + 1] as u32 * b[j + 1] as u32;
-        s2 += a[j + 2] as u32 * b[j + 2] as u32;
-        s3 += a[j + 3] as u32 * b[j + 3] as u32;
-    }
-    let mut tail = 0u32;
-    for j in (chunks * 4)..n {
-        tail += a[j] as u32 * b[j] as u32;
-    }
-    s0 + s1 + s2 + s3 + tail
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| u32::from(x) * u32::from(y))
+        .sum()
 }
 
 /// Asymmetric fused dot product: full-precision `f32` query × SQ8 row.
@@ -113,10 +102,10 @@ pub fn dot_u8(a: &[u8], b: &[u8]) -> u32 {
 /// the end. `query_sum` is `Σ query_j`, hoisted out so a scan over many rows
 /// computes it once per query rather than once per row.
 ///
-/// The loop body is a fixed-width `chunks_exact` zip rather than the indexed
-/// 4-lane shape of [`dot`]: the bounds-check-free fixed windows are what
-/// lets the compiler emit packed `u8 → f32` widening conversions, which
-/// measures ~3× faster than the indexed form — enough for the scan to
+/// The loop body is the same fixed-width `chunks_exact` zip as [`dot`]
+/// rather than an indexed loop: the bounds-check-free fixed windows are
+/// what lets the compiler emit packed `u8 → f32` widening conversions,
+/// which measures ~3× faster than the indexed form — enough for the scan to
 /// realise the 4× memory-bandwidth advantage of byte rows instead of being
 /// convert-bound.
 ///
@@ -148,25 +137,20 @@ pub fn dot_u8_asym(query: &[f32], codes: &[u8], scale: f32, min: f32, query_sum:
     scale * (lanes.iter().sum::<f32>() + tail) + min * query_sum
 }
 
-/// Sum of the elements of a slice, with the same four-accumulator shape as
-/// [`dot`] (used to hoist the `Σ query` correction term of
+/// Sum of the elements of a slice, with the same lane shape as [`dot`] and
+/// for the same reason (used to hoist the `Σ query` correction term of
 /// [`dot_u8_asym`] out of row scans).
 #[inline]
 pub fn sum(a: &[f32]) -> f32 {
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    let chunks = a.len() / 4;
-    for i in 0..chunks {
-        let j = i * 4;
-        s0 += a[j];
-        s1 += a[j + 1];
-        s2 += a[j + 2];
-        s3 += a[j + 3];
+    let mut lanes = [0.0f32; F32_LANES];
+    let chunks = a.chunks_exact(F32_LANES);
+    let rem = chunks.remainder();
+    for x in chunks {
+        for k in 0..F32_LANES {
+            lanes[k] += x[k];
+        }
     }
-    let mut tail = 0.0f32;
-    for &x in &a[chunks * 4..] {
-        tail += x;
-    }
-    s0 + s1 + s2 + s3 + tail
+    lanes.iter().sum::<f32>() + rem.iter().sum::<f32>()
 }
 
 /// Squared Euclidean (L2) norm of a slice.
@@ -208,47 +192,29 @@ pub fn cosine_similarity_normalized(a: &[f32], b: &[f32]) -> f32 {
 /// In-place L2 normalisation. Vectors with a norm below `f32::EPSILON` are
 /// left untouched (normalising them would produce NaNs).
 ///
-/// The norm is the 4-lane [`dot`]; the rescale loop is unrolled to the same
-/// width so four independent multiplies stay in flight per iteration.
+/// The norm is the lane-split [`dot`]; the rescale is an element-wise
+/// iterator loop, which vectorizes as written because each element is
+/// independent of the others.
 #[inline]
 pub fn normalize(a: &mut [f32]) {
     let n = norm(a);
     if n > f32::EPSILON {
-        let inv = 1.0 / n;
-        let chunks = a.len() / 4;
-        for i in 0..chunks {
-            let j = i * 4;
-            a[j] *= inv;
-            a[j + 1] *= inv;
-            a[j + 2] *= inv;
-            a[j + 3] *= inv;
-        }
-        for x in &mut a[chunks * 4..] {
-            *x *= inv;
-        }
+        scale(1.0 / n, a);
     }
 }
 
-/// `y += alpha * x` (the BLAS AXPY primitive), used by every optimiser step.
+/// `y += alpha * x` (the BLAS AXPY primitive), used by every optimiser step,
+/// by [`crate::Matrix::vecmat`] and by the encoder's mean pooling.
 ///
-/// Unrolled four-wide like [`dot`]: the four fused multiply-adds per
-/// iteration are independent, so the optimiser-step hot loop (every layer of
-/// every federated client round goes through here) is no longer latency-bound
-/// on a single chain.
+/// A `zip` over the two slices: each output element is independent, so
+/// the loop vectorizes with no reordering of any addition, and the result
+/// is bit-identical to the scalar loop. Indexing `y[j]` and `x[j]` instead
+/// leaves a bounds check on every element, which keeps the loop scalar.
 #[inline]
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    let n = x.len().min(y.len());
-    let chunks = n / 4;
-    for i in 0..chunks {
-        let j = i * 4;
-        y[j] += alpha * x[j];
-        y[j + 1] += alpha * x[j + 1];
-        y[j + 2] += alpha * x[j + 2];
-        y[j + 3] += alpha * x[j + 3];
-    }
-    for j in (chunks * 4)..n {
-        y[j] += alpha * x[j];
+    for (y, x) in y.iter_mut().zip(x) {
+        *y += alpha * x;
     }
 }
 
@@ -494,38 +460,72 @@ impl std::ops::IndexMut<usize> for Vector {
 mod tests {
     use super::*;
 
+    /// Every length from 0 to 67 (each remainder of the 16-lane chunking,
+    /// several times over) plus the encoder's own widths.
+    fn kernel_lengths() -> impl Iterator<Item = usize> {
+        (0..=67).chain([48, 256, 768])
+    }
+
+    /// Deterministic values in `[-1, 1)` that differ per `salt`.
+    fn wave(n: usize, salt: u32) -> Vec<f32> {
+        (0..n as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) ^ salt.wrapping_mul(40_503)) % 2000)
+            .map(|v| v as f32 / 1000.0 - 1.0)
+            .collect()
+    }
+
+    /// `got` agrees with the `f64` reference `want` to a relative 1e-5 of
+    /// `magnitude`: the sum of the absolute terms, which is what rounding
+    /// error scales with, even where the terms cancel.
+    fn assert_close(got: f32, want: f64, magnitude: f64, what: &str) {
+        let err = (f64::from(got) - want).abs();
+        assert!(
+            err <= 1e-5 * magnitude.max(f64::MIN_POSITIVE),
+            "{what}: got {got}, want {want} (err {err}, magnitude {magnitude})"
+        );
+    }
+
     #[test]
     fn dot_matches_naive() {
-        let a: Vec<f32> = (0..37).map(|i| i as f32 * 0.5).collect();
-        let b: Vec<f32> = (0..37).map(|i| (i as f32 - 10.0) * 0.25).collect();
-        let naive: f32 = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();
-        assert!((dot(&a, &b) - naive).abs() < 1e-3);
+        for n in kernel_lengths() {
+            let a = wave(n, 1);
+            let b = wave(n, 2);
+            let terms: Vec<f64> = a
+                .iter()
+                .zip(&b)
+                .map(|(&x, &y)| f64::from(x) * f64::from(y))
+                .collect();
+            let magnitude: f64 = terms.iter().map(|t| t.abs()).sum();
+            let want: f64 = terms.iter().sum();
+            assert_close(dot(&a, &b), want, magnitude, &format!("dot n={n}"));
+        }
+    }
+
+    /// Codes spread over the whole `i8` range, differing per `salt`.
+    fn codes(n: usize, salt: usize) -> Vec<i8> {
+        (0..n).map(|i| (i * 37 + salt * 91) as u8 as i8).collect()
     }
 
     #[test]
     fn dot_i8_matches_widened_naive() {
-        let a: Vec<i8> = (0..37).map(|i| (i * 7 % 255 - 127) as i8).collect();
-        let b: Vec<i8> = (0..37).map(|i| (i * 13 % 255 - 127) as i8).collect();
-        let naive: i32 = a
-            .iter()
-            .zip(b.iter())
-            .map(|(&x, &y)| x as i32 * y as i32)
-            .sum();
-        assert_eq!(dot_i8(&a, &b), naive);
-        assert_eq!(dot_i8(&[], &[]), 0);
+        for n in kernel_lengths() {
+            let (a, b) = (codes(n, 1), codes(n, 2));
+            let naive: i32 = a.iter().zip(&b).map(|(&x, &y)| x as i32 * y as i32).sum();
+            assert_eq!(dot_i8(&a, &b), naive, "dot_i8 n={n}");
+        }
+        let low = vec![i8::MIN; 768];
+        assert_eq!(dot_i8(&low, &low), 768 * 128 * 128);
     }
 
     #[test]
     fn dot_u8_matches_widened_naive() {
-        let a: Vec<u8> = (0..41).map(|i| (i * 17 % 256) as u8).collect();
-        let b: Vec<u8> = (0..41).map(|i| (i * 29 % 256) as u8).collect();
-        let naive: u32 = a
-            .iter()
-            .zip(b.iter())
-            .map(|(&x, &y)| x as u32 * y as u32)
-            .sum();
-        assert_eq!(dot_u8(&a, &b), naive);
-        // Extreme codes do not overflow the 4-lane u32 accumulation at
+        for n in kernel_lengths() {
+            let a: Vec<u8> = codes(n, 1).into_iter().map(|x| x as u8).collect();
+            let b: Vec<u8> = codes(n, 2).into_iter().map(|x| x as u8).collect();
+            let naive: u32 = a.iter().zip(&b).map(|(&x, &y)| x as u32 * y as u32).sum();
+            assert_eq!(dot_u8(&a, &b), naive, "dot_u8 n={n}");
+        }
+        // Extreme codes do not overflow the u32 accumulation at
         // realistic dimensionalities.
         let maxed = vec![255u8; 4096];
         assert_eq!(dot_u8(&maxed, &maxed), 4096 * 255 * 255);
@@ -550,9 +550,12 @@ mod tests {
 
     #[test]
     fn sum_matches_naive() {
-        let a: Vec<f32> = (0..23).map(|i| i as f32 * 0.3 - 2.0).collect();
-        let naive: f32 = a.iter().sum();
-        assert!((sum(&a) - naive).abs() < 1e-4);
+        for n in kernel_lengths() {
+            let a = wave(n, 3);
+            let want: f64 = a.iter().map(|&x| f64::from(x)).sum();
+            let magnitude: f64 = a.iter().map(|&x| f64::from(x).abs()).sum();
+            assert_close(sum(&a), want, magnitude, &format!("sum n={n}"));
+        }
         assert_eq!(sum(&[]), 0.0);
     }
 
@@ -590,6 +593,16 @@ mod tests {
         assert!((norm(&a) - 1.0).abs() < 1e-6);
         assert!((a[0] - 0.6).abs() < 1e-6);
         assert!((a[1] - 0.8).abs() < 1e-6);
+        for n in kernel_lengths() {
+            let a = wave(n, 4);
+            let mut unit = a.clone();
+            normalize(&mut unit);
+            let norm: f64 = a.iter().map(|&x| f64::from(x).powi(2)).sum::<f64>().sqrt();
+            for (&got, &x) in unit.iter().zip(&a) {
+                let want = f64::from(x) / norm;
+                assert_close(got, want, want.abs(), &format!("normalize n={n}"));
+            }
+        }
     }
 
     #[test]
@@ -605,6 +618,14 @@ mod tests {
         let mut y = vec![10.0, 10.0, 10.0];
         axpy(0.5, &x, &mut y);
         assert_eq!(y, vec![10.5, 11.0, 11.5]);
+        // Element-wise, so nothing is reordered: exact agreement.
+        for n in kernel_lengths() {
+            let (x, y0) = (wave(n, 5), wave(n, 6));
+            let mut y = y0.clone();
+            axpy(0.37, &x, &mut y);
+            let naive: Vec<f32> = x.iter().zip(&y0).map(|(&x, &y)| y + 0.37 * x).collect();
+            assert_eq!(y, naive, "axpy n={n}");
+        }
     }
 
     #[test]

@@ -62,58 +62,68 @@ impl FeatureHasher {
         }
     }
 
-    /// FNV-1a hash of a byte string, mapped into the bucket space.
-    fn bucket(&self, namespace: u8, bytes: &[u8]) -> u32 {
+    /// FNV-1a hash of the concatenation of `parts`, mapped into the bucket
+    /// space. Taking the pieces separately lets a caller hash a word bigram
+    /// or a marked character window without first joining it into a buffer.
+    fn bucket(&self, namespace: u8, parts: &[&[u8]]) -> u32 {
         const FNV_OFFSET: u64 = 0xcbf29ce484222325;
         const FNV_PRIME: u64 = 0x100000001b3;
         let mut h = FNV_OFFSET ^ (namespace as u64).wrapping_mul(0x9E3779B97F4A7C15);
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
+        for part in parts {
+            for &b in *part {
+                h ^= b as u64;
+                h = h.wrapping_mul(FNV_PRIME);
+            }
         }
         (h % self.buckets as u64) as u32
     }
 
     /// Computes hashed features for a pre-tokenised query.
+    ///
+    /// Every feature is hashed straight from the token bytes: a word
+    /// bigram is the first word, a space and the second word; a character
+    /// n-gram is a window of whole characters of `<token>`, the token with
+    /// boundary markers. The bucket of every occurrence goes into one
+    /// `Vec`, which is sorted and run-length counted.
     pub fn features(&self, tokens: &[String]) -> HashedFeatures {
-        use std::collections::BTreeMap;
-        let mut counts: BTreeMap<u32, f32> = BTreeMap::new();
-        let mut bump = |idx: u32| {
-            *counts.entry(idx).or_insert(0.0) += 1.0;
-        };
-
+        let mut hits: Vec<u32> = Vec::new();
         if self.word_ngrams {
             for token in tokens {
-                bump(self.bucket(1, token.as_bytes()));
+                hits.push(self.bucket(1, &[token.as_bytes()]));
             }
             for pair in tokens.windows(2) {
-                let joined = format!("{} {}", pair[0], pair[1]);
-                bump(self.bucket(2, joined.as_bytes()));
+                hits.push(self.bucket(2, &[pair[0].as_bytes(), b" ", pair[1].as_bytes()]));
             }
         }
 
+        // Reused across tokens: the marked token's bytes, and the byte
+        // offset at which each of its characters starts plus its end.
+        let mut marked: Vec<u8> = Vec::new();
+        let mut starts: Vec<usize> = Vec::new();
         for token in tokens {
             // Boundary markers let the hasher distinguish prefixes/suffixes.
-            let marked: Vec<char> = std::iter::once('<')
-                .chain(token.chars())
-                .chain(std::iter::once('>'))
-                .collect();
-            for n in self.min_char_ngram..=self.max_char_ngram {
-                if marked.len() < n {
-                    continue;
-                }
-                for window in marked.windows(n) {
-                    let gram: String = window.iter().collect();
-                    bump(self.bucket(3, gram.as_bytes()));
+            marked.clear();
+            marked.push(b'<');
+            marked.extend_from_slice(token.as_bytes());
+            marked.push(b'>');
+            starts.clear();
+            starts.push(0);
+            starts.extend(token.char_indices().map(|(i, _)| i + 1));
+            starts.extend([marked.len() - 1, marked.len()]);
+            let chars = starts.len() - 1;
+            for n in self.min_char_ngram..=self.max_char_ngram.min(chars) {
+                for window in starts.windows(n + 1) {
+                    hits.push(self.bucket(3, &[&marked[window[0]..window[n]]]));
                 }
             }
         }
 
-        let mut indices = Vec::with_capacity(counts.len());
-        let mut weights = Vec::with_capacity(counts.len());
-        for (idx, w) in counts {
-            indices.push(idx);
-            weights.push(w);
+        hits.sort_unstable();
+        let mut indices = Vec::new();
+        let mut weights = Vec::new();
+        for run in hits.chunk_by(|a, b| a == b) {
+            indices.push(run[0]);
+            weights.push(run.len() as f32);
         }
         HashedFeatures { indices, weights }
     }
@@ -134,9 +144,109 @@ impl Default for FeatureHasher {
 mod tests {
     use super::*;
     use crate::Tokenizer;
+    use proptest::prelude::*;
 
     fn hasher() -> FeatureHasher {
         FeatureHasher::new(1 << 12, 3, 4)
+    }
+
+    /// The straightforward hasher [`FeatureHasher::features`] must match:
+    /// it builds every n-gram as a `String` and counts through a
+    /// `BTreeMap`.
+    fn features_reference(h: &FeatureHasher, tokens: &[String]) -> HashedFeatures {
+        use std::collections::BTreeMap;
+        let bucket = |namespace: u8, bytes: &[u8]| -> u32 {
+            let mut x = 0xcbf29ce484222325u64 ^ (namespace as u64).wrapping_mul(0x9E3779B97F4A7C15);
+            for &b in bytes {
+                x ^= b as u64;
+                x = x.wrapping_mul(0x100000001b3);
+            }
+            (x % h.buckets as u64) as u32
+        };
+        let mut counts: BTreeMap<u32, f32> = BTreeMap::new();
+        let mut bump = |idx: u32| {
+            *counts.entry(idx).or_insert(0.0) += 1.0;
+        };
+        if h.word_ngrams {
+            for token in tokens {
+                bump(bucket(1, token.as_bytes()));
+            }
+            for pair in tokens.windows(2) {
+                let joined = format!("{} {}", pair[0], pair[1]);
+                bump(bucket(2, joined.as_bytes()));
+            }
+        }
+        for token in tokens {
+            let marked: Vec<char> = std::iter::once('<')
+                .chain(token.chars())
+                .chain(std::iter::once('>'))
+                .collect();
+            for n in h.min_char_ngram..=h.max_char_ngram {
+                if marked.len() < n {
+                    continue;
+                }
+                for window in marked.windows(n) {
+                    let gram: String = window.iter().collect();
+                    bump(bucket(3, gram.as_bytes()));
+                }
+            }
+        }
+        HashedFeatures {
+            indices: counts.keys().copied().collect(),
+            weights: counts.values().copied().collect(),
+        }
+    }
+
+    /// Characters of one to four UTF-8 bytes, the markers themselves, a
+    /// space and an apostrophe, so windows cut across every width.
+    const ALPHABET: [char; 12] = [
+        'a', 'b', 'e', 'z', '7', '\'', ' ', '<', 'é', 'ß', '中', '😀',
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn features_match_the_reference_hasher(
+            words in prop::collection::vec(prop::collection::vec(0usize..ALPHABET.len(), 0..9), 0..7),
+            buckets in 1u32..5000,
+            min_n in 1usize..6,
+            extra_n in 0usize..4,
+            word_ngrams in prop::bool::ANY,
+        ) {
+            let tokens: Vec<String> = words
+                .iter()
+                .map(|w| w.iter().map(|&c| ALPHABET[c]).collect())
+                .collect();
+            let mut h = FeatureHasher::new(buckets, min_n, min_n + extra_n);
+            h.word_ngrams = word_ngrams;
+            prop_assert_eq!(h.features(&tokens), features_reference(&h, &tokens), "{:?}", tokens);
+        }
+    }
+
+    #[test]
+    fn features_match_the_reference_hasher_on_real_queries() {
+        let tok = Tokenizer::default();
+        for h in [
+            hasher(),
+            FeatureHasher::default(),
+            FeatureHasher::new(512, 3, 5),
+        ] {
+            for text in [
+                "How can I increase the battery-life of my Smartphone?",
+                "write a recursive fibonacci function in rust",
+                "hi",
+                "",
+                "Crème brûlée recipe für 中文 users 😀",
+            ] {
+                let tokens = tok.tokenize(text);
+                assert_eq!(
+                    h.features(&tokens),
+                    features_reference(&h, &tokens),
+                    "{text}"
+                );
+            }
+        }
     }
 
     #[test]
