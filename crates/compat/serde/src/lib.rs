@@ -264,6 +264,18 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+impl<T: Serialize> Serialize for std::sync::Arc<T> {
+    fn serialize_value(&self) -> Value {
+        (**self).serialize_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn deserialize_value(value: &Value) -> Result<Self, Error> {
+        T::deserialize_value(value).map(std::sync::Arc::new)
+    }
+}
+
 /// Map keys serialisable as JSON object keys (strings).
 pub trait MapKey: Sized + Ord {
     fn to_key_string(&self) -> String;
@@ -411,6 +423,13 @@ mod tests {
         assert_eq!(
             <(u64, String)>::deserialize_value(&pair.serialize_value()).unwrap(),
             pair
+        );
+        // Smart pointers are transparent: an `Arc<T>` serialises as `T`.
+        let shared = std::sync::Arc::new(vec![1u64, 2]);
+        assert_eq!(shared.serialize_value(), vec![1u64, 2].serialize_value());
+        assert_eq!(
+            std::sync::Arc::<Vec<u64>>::deserialize_value(&shared.serialize_value()).unwrap(),
+            shared
         );
     }
 

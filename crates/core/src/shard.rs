@@ -703,38 +703,39 @@ impl ShardedCache {
         Some(outcome.hit)
     }
 
-    /// Drops every cached entry and every root pin while keeping the
-    /// configuration (live threshold included), the encoder, and any
-    /// seeded routing centroids — a flush must not silently degrade
-    /// centroid routing to the hash fallback. Statistics reset with the
-    /// shards, exactly as rebuilding the cache from scratch would.
+    /// A new, empty cache configured like this one: the configuration
+    /// (live threshold and capacity included), the encoder (its weights
+    /// shared, not copied), the embedding memo and any seeded routing
+    /// centroids. No entries, root pins or statistics carry over.
     ///
     /// # Errors
     /// Returns [`crate::CacheError::InvalidConfig`] only if the live
     /// config no longer validates (cannot happen for a config that built
     /// this cache).
-    pub fn clear(&mut self) -> Result<()> {
-        let shard_config = MeanCacheConfig {
-            shards: 1,
-            routing: RoutingMode::Hash,
-            capacity: self.config.capacity.div_ceil(self.shards.len()),
-            ..self.config.clone()
+    pub fn empty_like(&self) -> Result<Self> {
+        let mut fresh = Self::new(self.encoder.clone(), self.config.clone())?;
+        // Flushing entries does not invalidate embeddings — the encoder is
+        // unchanged — so the memo carries over.
+        fresh.set_embedding_memo(self.memo.clone());
+        let router = read_router(&self.router);
+        *fresh.router.get_mut().unwrap_or_else(|p| p.into_inner()) = RouterState {
+            centroids: router.centroids.clone(),
+            counts: router.counts.clone(),
+            pins: HashMap::new(),
         };
-        for shard in &mut self.shards {
-            let mut fresh = MeanCache::new(self.encoder.clone(), shard_config.clone())?;
-            // Flushing entries does not invalidate embeddings — the encoder
-            // is unchanged — so the memo survives a clear.
-            fresh.set_embedding_memo(self.memo.clone());
-            *shard_mut(shard) = fresh;
-        }
-        let router = self.router.get_mut().unwrap_or_else(|p| p.into_inner());
-        router.pins.clear();
-        self.scatter_lookups = AtomicU64::new(0);
-        self.scatter_hits = AtomicU64::new(0);
-        self.scatter_context_rejections = AtomicU64::new(0);
-        for counter in self.lock_contended.iter().chain(&self.lock_wait_us) {
-            counter.store(0, Ordering::Relaxed);
-        }
+        Ok(fresh)
+    }
+
+    /// Drops every cached entry and every root pin while keeping what
+    /// [`ShardedCache::empty_like`] keeps — in particular the seeded routing
+    /// centroids, since a flush must not silently degrade centroid routing
+    /// to the hash fallback. Statistics reset with the shards, exactly as
+    /// rebuilding the cache from scratch would.
+    ///
+    /// # Errors
+    /// As [`ShardedCache::empty_like`].
+    pub fn clear(&mut self) -> Result<()> {
+        *self = self.empty_like()?;
         Ok(())
     }
 
@@ -2223,6 +2224,28 @@ mod tests {
             let stats = memoized.embedding_memo().unwrap().stats();
             assert!(stats.hits > 0, "{routing:?}: repeats must hit the memo");
         }
+    }
+
+    #[test]
+    fn shards_clones_and_tenants_share_one_copy_of_the_weights() {
+        let mut cache = sharded(4, 0.6);
+        cache.insert("what is rust", "a language", &[]).unwrap();
+        let shares = |other: &ShardedCache| {
+            other.encoder().shares_weights_with(cache.encoder())
+                && (0..other.shard_count()).all(|i| {
+                    other.with_shard(i, |s| s.encoder().shares_weights_with(cache.encoder()))
+                })
+        };
+        assert!(shares(&cache), "every shard shares the layer's weights");
+        assert!(shares(&cache.clone()));
+        let mut cleared = cache.clone();
+        cleared.clear().unwrap();
+        assert!(shares(&cleared));
+        let resharded = reshard(&cache, cache.config().clone().with_shards(3)).unwrap();
+        assert!(shares(&resharded));
+        let mut tenants = crate::TenantedCache::new("default", cache.clone(), None);
+        tenants.add_tenant("acme", 0).unwrap();
+        assert!(shares(tenants.tenant("acme").unwrap().cache()));
     }
 
     #[test]

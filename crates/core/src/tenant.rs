@@ -6,14 +6,14 @@
 //! prompt template) must be able to flush that tenant's stale answers
 //! without a restart. [`TenantedCache`] delivers all three by construction:
 //!
-//! * **Isolation** — every tenant owns a full `ShardedCache` (cloned from a
-//!   shared template so config, routing centroids, and the embedding
-//!   memo-cache are common, then cleared). Probe, commit and eviction
-//!   decisions inside one tenant's cache are *bit-independent* of any other
-//!   tenant's traffic — there is no shared index to interleave on. The
-//!   embedding memo **is** shared deliberately: memoized embeddings are
-//!   pure functions of the query text and bit-identical to a cold encode,
-//!   so sharing it leaks no decisions, only speed.
+//! * **Isolation** — every tenant owns a full `ShardedCache`, built empty
+//!   from a shared template so config, routing centroids, the embedding
+//!   memo-cache and the encoder's weights are common. Probe, commit and
+//!   eviction decisions inside one tenant's cache are *bit-independent* of
+//!   any other tenant's traffic — there is no shared index to interleave
+//!   on. The embedding memo **is** shared deliberately: memoized
+//!   embeddings are pure functions of the query text and bit-identical to
+//!   a cold encode, so sharing it leaks no decisions, only speed.
 //! * **Quota fairness** — each tenant's cache has its own capacity bound
 //!   (the tenant's quota). A tenant at quota evicts its *own* LRU tail,
 //!   never a neighbour's entries.
@@ -173,13 +173,14 @@ impl TenantedCache {
         self.ttl
     }
 
-    /// Adds a tenant with a private cache cloned from the default tenant's
-    /// template (then cleared, so no entries leak across) and capped at
-    /// `quota` entries (`0` = inherit the template's capacity). A no-op if
-    /// the tenant already exists, beyond applying `quota`.
+    /// Adds a tenant with a private, empty cache built from the default
+    /// tenant's template ([`ShardedCache::empty_like`]: its configuration,
+    /// shared encoder, memo and routing centroids, none of its entries) and
+    /// capped at `quota` entries (`0` = inherit the template's capacity). A
+    /// no-op if the tenant already exists, beyond applying `quota`.
     ///
     /// # Errors
-    /// Propagates [`CacheError`] from rebuilding the cloned cache.
+    /// Propagates [`CacheError`] from building the new cache.
     pub fn add_tenant(&mut self, name: &str, quota: usize) -> Result<()> {
         if name.is_empty() {
             return Err(CacheError::InvalidConfig("empty tenant name".into()));
@@ -191,9 +192,7 @@ impl TenantedCache {
             }
             return Ok(());
         }
-        let template = &self.tenants[&self.default_tenant];
-        let mut cache = template.cache.clone();
-        cache.clear()?;
+        let mut cache = self.tenants[&self.default_tenant].cache.empty_like()?;
         let quota = if quota > 0 {
             quota
         } else {
@@ -420,7 +419,7 @@ impl TenantedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MeanCacheConfig;
+    use crate::{MeanCacheConfig, RoutingMode};
     use mc_embedder::{ModelProfile, QueryEncoder};
 
     fn tenanted(ttl: Option<Duration>) -> TenantedCache {
@@ -445,6 +444,50 @@ mod tests {
             .unwrap();
         let hit = tc.probe("acme", "what is rust", &[]);
         assert_eq!(hit.hit().unwrap().response, "acme answer");
+    }
+
+    #[test]
+    fn added_tenant_starts_empty_and_inherits_the_template() {
+        let encoder = QueryEncoder::new(ModelProfile::tiny(), 7).unwrap();
+        let mut config = MeanCacheConfig::default()
+            .with_threshold(0.6)
+            .with_shards(2)
+            .with_routing(RoutingMode::Centroid);
+        config.capacity = 64;
+        let mut cache = ShardedCache::new(encoder, config).unwrap();
+        let texts: Vec<String> = (0..24)
+            .map(|i| format!("question {i} about topic {}", i % 6))
+            .collect();
+        cache.seed_centroids_from_texts(&texts).unwrap();
+        cache.set_embedding_memo(Some(std::sync::Arc::new(mc_embedder::EmbeddingMemo::new(
+            64, 0,
+        ))));
+        cache.set_threshold(0.72);
+        let mut tc = TenantedCache::new(DEFAULT_TENANT, cache, None);
+        for text in &texts {
+            tc.insert(DEFAULT_TENANT, text, "answer", &[]).unwrap();
+        }
+        tc.add_tenant("acme", 0).unwrap();
+
+        let template = tc.tenant(DEFAULT_TENANT).unwrap().cache();
+        let added = tc.tenant("acme").unwrap().cache();
+        assert_eq!(template.len(), texts.len());
+        assert_eq!(added.len(), 0);
+        assert_eq!(added.root_pin_count(), 0);
+        assert_eq!(added.stats().inserts, 0);
+        assert_eq!(added.threshold(), 0.72);
+        assert_eq!(added.routing(), RoutingMode::Centroid);
+        assert_eq!(added.config().capacity, 64);
+        assert!(added.centroids_seeded());
+        assert!(std::sync::Arc::ptr_eq(
+            added.embedding_memo().unwrap(),
+            template.embedding_memo().unwrap()
+        ));
+        // Same centroids: every query routes to the same shard in both.
+        for text in &texts {
+            assert_eq!(added.shard_of(text, &[]), template.shard_of(text, &[]));
+        }
+        assert!(tc.probe("acme", &texts[0], &[]).is_miss());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! exactly what the per-client fine-tuning in Section III-A1 needs.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use mc_nn::mlp::MlpForward;
 use mc_nn::{Activation, Mlp, MlpGrad, Optimizer};
@@ -21,18 +22,23 @@ use crate::{EmbedderError, ModelProfile, Pca, Result};
 const TABLE_SLOT_BASE: usize = 1 << 20;
 
 /// A trainable query-embedding model.
+///
+/// The parameters sit behind [`Arc`]s, so `clone` is cheap: every clone
+/// shares one copy of the weights until it writes to them (training,
+/// `set_parameters`, PCA changes), and then copies just what it writes.
+/// Clones keep value semantics; a shared `Arc<T>` serialises as `T`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QueryEncoder {
     profile: ModelProfile,
     tokenizer: Tokenizer,
     hasher: FeatureHasher,
     /// `hash_buckets x table_dim` n-gram embedding table.
-    table: Matrix,
+    table: Arc<Matrix>,
     /// Projection MLP mapping pooled features to the output embedding.
-    mlp: Mlp,
+    mlp: Arc<Mlp>,
     /// Optional PCA compression layer (Section III-A4). When present,
     /// [`QueryEncoder::encode`] returns compressed embeddings.
-    pca: Option<Pca>,
+    pca: Option<Arc<Pca>>,
 }
 
 /// Cached intermediate state of one encoder forward pass.
@@ -127,8 +133,8 @@ impl QueryEncoder {
             profile,
             tokenizer: Tokenizer::default(),
             hasher,
-            table,
-            mlp,
+            table: Arc::new(table),
+            mlp: Arc::new(mlp),
             pca: None,
         })
     }
@@ -159,7 +165,7 @@ impl QueryEncoder {
 
     /// Borrow the attached PCA layer, if any.
     pub fn pca(&self) -> Option<&Pca> {
-        self.pca.as_ref()
+        self.pca.as_deref()
     }
 
     /// Attaches a fitted PCA layer (Figure 3-b).
@@ -175,13 +181,13 @@ impl QueryEncoder {
                 self.profile.output_dim
             )));
         }
-        self.pca = Some(pca);
+        self.pca = Some(Arc::new(pca));
         Ok(())
     }
 
     /// Removes the PCA layer, returning to full-dimension embeddings.
     pub fn detach_pca(&mut self) -> Option<Pca> {
-        self.pca.take()
+        self.pca.take().map(Arc::unwrap_or_clone)
     }
 
     /// Fits a PCA layer on the raw embeddings of the provided corpus and
@@ -334,7 +340,11 @@ impl QueryEncoder {
         optimizer: &mut O,
     ) -> Result<()> {
         // MLP parameters: one slot per (layer, tensor).
-        for (li, layer) in self.mlp.layers_mut().iter_mut().enumerate() {
+        for (li, layer) in Arc::make_mut(&mut self.mlp)
+            .layers_mut()
+            .iter_mut()
+            .enumerate()
+        {
             let g = &grad.mlp.layers[li];
             optimizer
                 .step(
@@ -348,9 +358,10 @@ impl QueryEncoder {
                 .map_err(EmbedderError::from)?;
         }
         // Embedding-table rows.
+        let table = Arc::make_mut(&mut self.table);
         for (bucket, row_grad) in &grad.table_rows {
             let slot = TABLE_SLOT_BASE + *bucket as usize;
-            let row = self.table.row_mut(*bucket as usize);
+            let row = table.row_mut(*bucket as usize);
             optimizer
                 .step(slot, row, row_grad)
                 .map_err(EmbedderError::from)?;
@@ -386,11 +397,11 @@ impl QueryEncoder {
         }
         let slice = flat.as_slice();
         let table_len = self.table.len();
-        self.table
+        Arc::make_mut(&mut self.table)
             .as_mut_slice()
             .copy_from_slice(&slice[..table_len]);
         let mlp_params = Vector::from_vec(slice[table_len..].to_vec());
-        self.mlp.set_parameters(&mlp_params)?;
+        Arc::make_mut(&mut self.mlp).set_parameters(&mlp_params)?;
         Ok(())
     }
 
@@ -402,6 +413,19 @@ impl QueryEncoder {
     /// Approximate model size in bytes (parameters only).
     pub fn model_bytes(&self) -> usize {
         self.parameter_count() * std::mem::size_of::<f32>()
+    }
+
+    /// `true` when both encoders point at the same weight allocations
+    /// (table, MLP and PCA layer). Lets tests check that the holders of a
+    /// frozen encoder share one copy of its weights.
+    #[doc(hidden)]
+    pub fn shares_weights_with(&self, other: &QueryEncoder) -> bool {
+        let pca = match (&self.pca, &other.pca) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        };
+        Arc::ptr_eq(&self.table, &other.table) && Arc::ptr_eq(&self.mlp, &other.mlp) && pca
     }
 }
 
@@ -487,9 +511,9 @@ mod tests {
         let (&bucket, row_grad) = grad.table_rows.iter().next().unwrap();
         let mut perturbed = enc.clone();
         let orig = perturbed.table.get(bucket as usize, 0);
-        perturbed.table.set(bucket as usize, 0, orig + h);
+        Arc::make_mut(&mut perturbed.table).set(bucket as usize, 0, orig + h);
         let up = loss_of(&perturbed);
-        perturbed.table.set(bucket as usize, 0, orig - h);
+        Arc::make_mut(&mut perturbed.table).set(bucket as usize, 0, orig - h);
         let down = loss_of(&perturbed);
         let numeric = (up - down) / (2.0 * h);
         assert!(
@@ -590,6 +614,98 @@ mod tests {
         let fwd = enc.forward("hello").unwrap();
         let mut grad = enc.zero_grad();
         assert!(enc.backward(&fwd, &[1.0, 2.0], &mut grad).is_err());
+    }
+
+    /// FNV-1a over bytes: a stable fingerprint for the golden tests below.
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    const GOLDEN_QUERIES: [&str; 6] = [
+        "how do I plot a line in python",
+        "what is federated learning",
+        "best pasta recipe with tomatoes and basil",
+        "how can I increase the battery life of my smartphone",
+        "",
+        "café naïve — ünïcödé ngrams",
+    ];
+
+    #[test]
+    fn clones_share_weights_until_one_of_them_writes() {
+        let original = encoder();
+        let queries = [
+            "plot a bar chart in matplotlib",
+            "what is federated learning",
+        ];
+        let before: Vec<Vector> = queries.iter().map(|q| original.encode(q)).collect();
+
+        // Training a clone copies its weights on the first write.
+        let mut trained = original.clone();
+        assert!(trained.shares_weights_with(&original));
+        let fwd = trained.forward(queries[0]).unwrap();
+        let mut grad = trained.zero_grad();
+        trained
+            .backward(&fwd, &vec![1.0; trained.raw_output_dim()], &mut grad)
+            .unwrap();
+        trained
+            .apply_gradients(&grad, &mut Adam::new(0.1).unwrap())
+            .unwrap();
+        assert!(!trained.shares_weights_with(&original));
+        assert_ne!(trained.encode(queries[0]), before[0]);
+
+        // So does loading parameters into a clone.
+        let mut loaded = original.clone();
+        loaded.set_parameters(&trained.parameters()).unwrap();
+        assert!(!loaded.shares_weights_with(&original));
+        assert_eq!(loaded.encode(queries[0]), trained.encode(queries[0]));
+
+        // And attaching PCA: the clone compresses, the original does not.
+        let mut compressed = original.clone();
+        let corpus: Vec<String> = (0..20)
+            .map(|i| format!("query {i} on topic {}", i % 4))
+            .collect();
+        compressed.fit_pca(&corpus, 4, 3).unwrap();
+        assert!(!compressed.shares_weights_with(&original));
+        assert_eq!(compressed.encode(queries[1]).len(), 4);
+
+        // The original's encodings are bit-identical throughout.
+        for (q, e) in queries.iter().zip(&before) {
+            assert_eq!(original.encode(q).as_slice(), e.as_slice());
+        }
+        assert!(!original.is_compressed());
+    }
+
+    #[test]
+    fn serialized_encoder_bytes_are_pinned() {
+        // Saved encoders, checkpoints and snapshots embed this JSON, so its
+        // bytes are part of the on-disk contract.
+        let mut enc = encoder();
+        let corpus: Vec<String> = (0..40)
+            .map(|i| format!("sample query number {i} about topic {}", i % 5))
+            .collect();
+        enc.fit_pca(&corpus, 8, 7).unwrap();
+        let json = serde_json::to_string(&enc).unwrap();
+        assert_eq!(
+            (json.len(), fnv1a(json.bytes())),
+            (392_548, 138_147_818_462_449_405)
+        );
+        let back: QueryEncoder = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    #[test]
+    fn mpnet_encodings_are_pinned_bit_for_bit() {
+        let enc = QueryEncoder::new(ModelProfile::mpnet(), 7).unwrap();
+        let bits = GOLDEN_QUERIES.iter().flat_map(|q| {
+            let e = enc.encode(q);
+            assert_eq!(e.len(), 768);
+            e.into_vec()
+                .into_iter()
+                .flat_map(|x| x.to_bits().to_le_bytes())
+        });
+        assert_eq!(fnv1a(bits), 2_767_071_923_099_212_865);
     }
 
     #[test]

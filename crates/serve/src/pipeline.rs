@@ -502,7 +502,7 @@ pub struct ServePipeline {
 impl ServePipeline {
     /// Takes ownership of `cache` (which becomes the default tenant's
     /// store *and* the template every configured tenant's private cache is
-    /// cloned from) and starts the batcher thread. Installs the embedding
+    /// built from) and starts the batcher thread. Installs the embedding
     /// memo-cache when [`ServeConfig::memo_capacity`] is non-zero — shared
     /// across tenants, which is sound because memoized embeddings are pure
     /// functions of the query text.
@@ -560,7 +560,7 @@ impl ServePipeline {
                 let (wal, ops, stats) = ServeWal::open(wal_path(path), config.fsync)?;
                 metrics.record_recovery(stats);
                 metrics.record_wal_replayed(ops.len() as u64);
-                replay_wal_ops(&mut tenants, &ops);
+                replay_wal_ops(&mut tenants, &ops, &metrics);
                 Some(wal)
             }
         };
@@ -823,9 +823,9 @@ fn restore_tenants(tenants: &mut TenantedCache, path: &Path, metrics: &ServeMetr
 /// Legacy records (no tenant) map to the default tenant — a legacy flush
 /// meant "the whole process" and flushes every tenant. Replay is tolerant
 /// at the entry level: an op the live config refuses (it was accepted by
-/// the pre-crash config) is logged and skipped — one odd entry must not
-/// block recovery of the rest.
-fn replay_wal_ops(tenants: &mut TenantedCache, ops: &[WalOp]) {
+/// the pre-crash config) is logged, counted in `wal_replay_errors` and
+/// skipped — one odd entry must not block recovery of the rest.
+fn replay_wal_ops(tenants: &mut TenantedCache, ops: &[WalOp], metrics: &ServeMetrics) {
     let default_name = tenants.default_tenant().to_string();
     for op in ops {
         match op {
@@ -841,21 +841,25 @@ fn replay_wal_ops(tenants: &mut TenantedCache, ops: &[WalOp]) {
                     // it (template quota) rather than dropping the write.
                     if let Err(e) = tenants.add_tenant(name, 0) {
                         eprintln!("mc-serve: cannot recreate WAL tenant {name:?}: {e}");
+                        metrics.record_wal_replay_error();
                         continue;
                     }
                 }
                 if let Err(e) = tenants.insert(name, query, response, context) {
                     eprintln!("mc-serve: skipping unre-playable WAL insert {query:?}: {e}");
+                    metrics.record_wal_replay_error();
                 }
             }
             WalOp::Flush { tenant: None } => {
                 if let Err(e) = tenants.flush_all() {
                     eprintln!("mc-serve: WAL flush replay failed: {e}");
+                    metrics.record_wal_replay_error();
                 }
             }
             WalOp::Flush { tenant: Some(name) } => {
                 if let Err(e) = tenants.flush(name) {
                     eprintln!("mc-serve: WAL tenant-flush replay failed for {name:?}: {e}");
+                    metrics.record_wal_replay_error();
                 }
             }
             WalOp::Invalidate { tenant, epoch } => {

@@ -60,6 +60,7 @@ pub struct ServeMetrics {
     wal_appends: AtomicU64,
     wal_append_errors: AtomicU64,
     wal_replayed: AtomicU64,
+    wal_replay_errors: AtomicU64,
     idle_reaped: AtomicU64,
     recovered_records: AtomicU64,
     recovered_bytes_truncated: AtomicU64,
@@ -98,6 +99,7 @@ impl Default for ServeMetrics {
             wal_appends: AtomicU64::new(0),
             wal_append_errors: AtomicU64::new(0),
             wal_replayed: AtomicU64::new(0),
+            wal_replay_errors: AtomicU64::new(0),
             idle_reaped: AtomicU64::new(0),
             recovered_records: AtomicU64::new(0),
             recovered_bytes_truncated: AtomicU64::new(0),
@@ -232,6 +234,12 @@ impl ServeMetrics {
         if n > 0 {
             self.wal_replayed.fetch_add(n, Ordering::Relaxed);
         }
+    }
+
+    /// A WAL op could not be re-applied at startup (logged and skipped: an
+    /// acknowledged write that the restart lost).
+    pub fn record_wal_replay_error(&self) {
+        self.wal_replay_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// An idle connection was reaped by the event loop.
@@ -479,6 +487,10 @@ pub struct ServeStatsSnapshot {
     /// been lost without the WAL).
     #[serde(default)]
     pub wal_replayed: u64,
+    /// Replayed WAL ops the live cache refused at startup (each one an
+    /// acknowledged write the restart could not re-apply).
+    #[serde(default)]
+    pub wal_replay_errors: u64,
     /// Idle connections reaped by the event loop.
     #[serde(default)]
     pub idle_reaped: u64,
@@ -606,6 +618,7 @@ impl ServeStatsSnapshot {
             wal_appends: metrics.wal_appends.load(Ordering::Relaxed),
             wal_append_errors: metrics.wal_append_errors.load(Ordering::Relaxed),
             wal_replayed: metrics.wal_replayed.load(Ordering::Relaxed),
+            wal_replay_errors: metrics.wal_replay_errors.load(Ordering::Relaxed),
             idle_reaped: metrics.idle_reaped.load(Ordering::Relaxed),
             recovered_records: metrics.recovered_records.load(Ordering::Relaxed),
             recovered_bytes_truncated: metrics.recovered_bytes_truncated.load(Ordering::Relaxed),
@@ -737,6 +750,12 @@ impl ServeStatsSnapshot {
         gauge("serve_memo_evictions_total", self.memo_evictions as f64);
         gauge("serve_memo_entries", self.memo_entries as f64);
         gauge("serve_memo_bytes", self.memo_bytes as f64);
+        let _ = writeln!(
+            out,
+            "# HELP serve_wal_replay_errors_total WAL ops the restarted cache refused \
+             (each an acknowledged write lost)\nserve_wal_replay_errors_total {}",
+            self.wal_replay_errors
+        );
         for p in [0.5, 0.9, 0.99] {
             let quantile = percentile_from_log2_buckets(&self.latency_hist, p);
             let _ = writeln!(out, "serve_latency_us{{quantile=\"{p}\"}} {quantile}");
@@ -921,8 +940,23 @@ mod tests {
         // reports that bucket's upper bound.
         assert!(text.contains("serve_latency_us{quantile=\"0.5\"} 128"));
         assert!(text.contains("serve_latency_us_count 10"));
-        // Every line is `name[{labels}] value`.
-        for line in text.lines() {
+        // Every line is `name[{labels}] value`, or a `# HELP name text`
+        // comment on a metric that renders.
+        let help_lines = text.lines().filter(|l| l.starts_with('#'));
+        for line in help_lines {
+            let mut parts = line.split_whitespace();
+            assert_eq!(parts.next(), Some("#"), "bad comment {line:?}");
+            assert_eq!(parts.next(), Some("HELP"), "bad comment {line:?}");
+            let name = parts.next().expect("HELP names its metric");
+            assert!(parts.next().is_some(), "HELP without text in {line:?}");
+            assert!(
+                text.contains(&format!("\n{name} ")),
+                "HELP for unrendered {name}"
+            );
+        }
+        assert!(text.contains("# HELP serve_wal_replay_errors_total "));
+        assert!(text.contains("\nserve_wal_replay_errors_total 0\n"));
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
             let mut parts = line.split_whitespace();
             assert!(parts.next().is_some(), "metric name missing in {line:?}");
             assert!(
@@ -979,7 +1013,7 @@ mod tests {
         assert!(text.contains("serve_shard_lock_contended_total{shard=\"1\"} 0"));
         assert!(text.contains("serve_trace_sample_every 0"));
         // The labelled lines keep the `name value` two-token shape.
-        for line in text.lines() {
+        for line in text.lines().filter(|l| !l.starts_with("# HELP ")) {
             assert_eq!(line.split_whitespace().count(), 2, "bad line {line:?}");
         }
     }

@@ -282,3 +282,43 @@ fn crashed_wal_is_replayed_on_restart() {
     handle.wait();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A WAL op the restarted cache refuses — here a tenant insert naming an
+/// empty tenant, which the tenancy layer rejects — is skipped and counted
+/// in Stats JSON and `/metrics`; the ops around it still replay.
+#[test]
+fn refused_wal_op_is_counted_and_the_rest_still_replay() {
+    let dir = temp_dir("wal_refused");
+    let persist = dir.join("cache.log");
+    {
+        let (mut wal, _, _) = ServeWal::open(wal_path(&persist), FsyncPolicy::Always).unwrap();
+        wal.append_insert("replayed before the refusal", "one", &[])
+            .unwrap();
+        wal.append_insert_for("", "refused insert", "lost", &[])
+            .unwrap();
+        wal.append_insert("replayed after the refusal", "two", &[])
+            .unwrap();
+    }
+
+    let config = ServeConfig {
+        persist_path: Some(persist),
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(cache(2), &config, "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for query in ["replayed before the refusal", "replayed after the refusal"] {
+        assert!(client.lookup(query, &[]).unwrap().is_hit(), "{query}");
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.wal_replayed, 3);
+    assert_eq!(stats.wal_replay_errors, 1);
+    assert_eq!(stats.entries, 2);
+    let metrics = client.metrics_text().unwrap();
+    assert!(
+        metrics.contains("\nserve_wal_replay_errors_total 1\n"),
+        "{metrics}"
+    );
+    client.shutdown_server().unwrap();
+    handle.wait();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -74,9 +74,6 @@ pub use snapshot::{
 };
 pub use wal::{FramedLog, FsyncPolicy, RecoveryStats};
 
-#[allow(deprecated)]
-pub use index::EmbeddingIndex;
-
 /// Errors surfaced by the storage substrate.
 #[derive(Debug)]
 pub enum StoreError {

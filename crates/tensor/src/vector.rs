@@ -18,7 +18,7 @@ const F32_LANES: usize = 16;
 
 /// Dot product of two equal-length slices.
 ///
-/// The loop body is a fixed-width `chunks_exact` zip over [`F32_LANES`]
+/// The loop body is a fixed-width `chunks_exact` zip over `F32_LANES`
 /// independent partial sums. The fixed windows carry no bounds checks, and
 /// the separate partial sums give the compiler a summation order it may
 /// keep in SIMD registers, so the loop vectorizes. An indexed loop keeps a
